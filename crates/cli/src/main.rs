@@ -194,9 +194,9 @@ fn save(path: &str, contents: &str) -> Result<(), String> {
 
 fn cmd_generate(opts: &Opts) -> Result<(), String> {
     let nodes = opts.usize("nodes", 400)?;
-    let degree = opts.f64("degree", 22.0)?;
+    let degree = opts.positive_f64("degree", 22.0)?;
     let seed = opts.u64("seed", 1)?;
-    let rc = opts.f64("rc", 1.0)?;
+    let rc = opts.positive_f64("rc", 1.0)?;
     let out = opts.require("out")?;
     let mut rng = StdRng::seed_from_u64(seed);
     let scenario = random_udg_scenario(nodes, rc, degree, &mut rng);
@@ -348,7 +348,11 @@ fn cmd_fault_sweep(opts: &Opts) -> Result<(), String> {
             .map(|t| {
                 t.trim()
                     .parse()
-                    .map_err(|_| format!("--loss: bad probability {t:?}"))
+                    .ok()
+                    .filter(|p| (0.0..=1.0).contains(p))
+                    .ok_or_else(|| {
+                        format!("--loss: bad probability {t:?} (each must lie in [0, 1])")
+                    })
             })
             .collect::<Result<_, _>>()?,
         None => vec![0.0, 0.1, 0.2, 0.3],
@@ -470,7 +474,7 @@ fn cmd_chaos(opts: &Opts) -> Result<(), String> {
     let runner = ChaosRunner::new(ChaosOptions {
         tau,
         nodes: opts.usize("nodes", 120)?,
-        degree: opts.f64("degree", 12.0)?,
+        degree: opts.positive_f64("degree", 12.0)?,
         events: opts.usize("events", 6)?,
         rejoin,
         churn: opts.flag("churn"),
@@ -583,7 +587,7 @@ fn cmd_churn(opts: &Opts) -> Result<(), String> {
     let runner = ChurnRunner::new(ChurnOptions {
         tau,
         nodes: opts.usize("nodes", 120)?,
-        degree: opts.f64("degree", 12.0)?,
+        degree: opts.positive_f64("degree", 12.0)?,
         rounds: opts.usize("rounds", 20)?,
         model,
         speed: opts.f64("speed", 0.05)?,

@@ -81,13 +81,25 @@ impl Opts {
         self.values.contains_key(key)
     }
 
-    /// An f64 option with a default.
+    /// A finite f64 option with a default; `nan` and `inf` are refused.
     pub fn f64(&self, key: &str, default: f64) -> Result<f64, String> {
         match self.values.get(key) {
             None => Ok(default),
             Some(v) => v
                 .parse()
-                .map_err(|_| format!("--{key} expects a number, got {v:?}")),
+                .ok()
+                .filter(|x: &f64| x.is_finite())
+                .ok_or_else(|| format!("--{key} expects a finite number, got {v:?}")),
+        }
+    }
+
+    /// A finite f64 option with a default that must be > 0.
+    pub fn positive_f64(&self, key: &str, default: f64) -> Result<f64, String> {
+        let v = self.f64(key, default)?;
+        if v > 0.0 {
+            Ok(v)
+        } else {
+            Err(format!("--{key} must be > 0, got {v}"))
         }
     }
 }
@@ -114,6 +126,10 @@ mod tests {
         assert_eq!(o.get("fast").as_deref(), Some("true"));
         assert!(o.usize("tau", 3).is_err());
         assert!(o.require("in").is_err());
+        let o = opts(&["--rc", "inf", "--degree", "0"]);
+        assert!(o.f64("rc", 1.0).is_err());
+        assert!(o.positive_f64("degree", 9.5).is_err());
+        assert_eq!(o.positive_f64("speed", 0.5).unwrap(), 0.5);
     }
 
     #[test]

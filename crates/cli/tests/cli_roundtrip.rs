@@ -154,16 +154,41 @@ fn prune_roundtrips_through_the_format() {
 
 #[test]
 fn helpful_errors() {
-    let out = cli()
-        .args(["schedule", "--tau", "4"])
-        .output()
-        .expect("spawn");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--in"));
-
-    let out = cli().args(["frobnicate"]).output().expect("spawn");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
+    let unwritten = tmp("unwritten.cf");
+    let unwritten = unwritten.to_str().unwrap();
+    // Each refusal exits 1 through the error path, not a panic, and names
+    // what is wrong.
+    for (args, named) in [
+        (&["schedule", "--tau", "4"][..], "--in"),
+        (&["frobnicate"][..], "unknown command"),
+        (
+            &["generate", "--degree", "0", "--out", unwritten][..],
+            "--degree",
+        ),
+        (
+            &["generate", "--degree", "-3", "--out", unwritten][..],
+            "--degree",
+        ),
+        (
+            &["generate", "--degree", "nan", "--out", unwritten][..],
+            "--degree",
+        ),
+        (
+            &["generate", "--nodes", "50", "--rc", "0", "--out", unwritten][..],
+            "--rc",
+        ),
+        (&["chaos", "--degree", "0"][..], "--degree"),
+        (&["churn", "--degree", "0"][..], "--degree"),
+    ] {
+        let out = cli().args(args).output().expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
+    }
+    assert!(
+        !std::path::Path::new(unwritten).exists(),
+        "a refused generate writes nothing"
+    );
 
     let out = cli().arg("help").output().expect("spawn");
     assert!(out.status.success());
@@ -199,26 +224,46 @@ fn unknown_flags_are_refused_by_name() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    // Retired flags and a misspelt one each fail, naming the flag.
-    for (extra, named) in [
+    let sweep = [
+        "fault-sweep",
+        "--in",
+        net.to_str().unwrap(),
+        "--tau",
+        "4",
+        "--crashes",
+        "0",
+    ];
+
+    // Retired flags, a misspelt one and loss probabilities outside [0, 1]
+    // each fail, naming the flag.
+    for (command, extra, named) in [
         (
+            &schedule[..],
             &["--regions", "4", "--region-threads", "2"][..],
-            "--region-threads",
+            "unknown option --region-threads",
         ),
-        (&["--thread", "3"][..], "--thread"),
-        (&["--no-cache"][..], "--no-cache"),
+        (
+            &schedule[..],
+            &["--thread", "3"][..],
+            "unknown option --thread",
+        ),
+        (
+            &schedule[..],
+            &["--no-cache"][..],
+            "unknown option --no-cache",
+        ),
+        (&sweep[..], &["--loss", "1.5"][..], "--loss"),
+        (&sweep[..], &["--loss", "0,-0.2"][..], "--loss"),
+        (&sweep[..], &["--loss", "nan"][..], "--loss"),
     ] {
         let out = cli()
-            .args(schedule)
+            .args(command)
             .args(extra)
             .output()
-            .expect("spawn schedule");
+            .expect("spawn command");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(!out.status.success(), "{extra:?} was accepted");
-        assert!(
-            stderr.contains(&format!("unknown option {named}")),
-            "{stderr}"
-        );
+        assert_eq!(out.status.code(), Some(1), "{extra:?} was accepted");
+        assert!(stderr.contains(named), "{stderr}");
         assert!(out.stdout.is_empty(), "nothing runs before the refusal");
     }
 

@@ -58,11 +58,6 @@ impl Gf2Matrix {
         self.columns.push(col);
     }
 
-    /// Number of rows.
-    pub fn row_count(&self) -> usize {
-        self.rows
-    }
-
     /// Number of columns.
     pub fn column_count(&self) -> usize {
         self.columns.len()

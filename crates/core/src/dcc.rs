@@ -2,7 +2,7 @@
 //!
 //! [`Dcc::builder`] is the sole constructor idiom: one builder carries
 //! τ, the deletion order, the [`EngineConfig`] of the shared
-//! [`VptEngine`], the fault plan and the energy bias, and yields
+//! [`VptEngine`] and the fault plan, and yields
 //! [`DccBuilder::centralized`], [`DccBuilder::distributed`],
 //! [`DccBuilder::incremental`] and [`DccBuilder::repair`] runners. Every
 //! runner owns its engine, so repeated runs reuse its worker arenas, and
@@ -31,8 +31,6 @@
 //! # Ok::<(), confine_netsim::SimError>(())
 //! ```
 
-use std::fmt;
-
 use confine_graph::{Graph, NodeId};
 use confine_netsim::faults::FaultPlan;
 use confine_netsim::{LinkModel, SimError};
@@ -42,8 +40,6 @@ use crate::distributed::{DistributedDcc, DistributedStats};
 use crate::repair::{CoverageRepair, ReconcileOutcome, RejoinOutcome, RejoinPolicy, RepairOutcome};
 use crate::schedule::{run_schedule, CoverageSet, DeletionOrder};
 use crate::vpt_engine::{EngineConfig, EngineStats, VptEngine};
-
-type BiasFn = Box<dyn Fn(NodeId) -> f64 + Send + Sync>;
 
 /// Namespace for the unified DCC builder; see the [module docs](self).
 #[derive(Debug, Clone, Copy)]
@@ -64,7 +60,6 @@ impl Dcc {
             round_limit: 10_000,
             heartbeat_timeout: crate::config::DEFAULT_HEARTBEAT_TIMEOUT,
             comm_range: 1.0,
-            bias: None,
         }
     }
 }
@@ -72,6 +67,7 @@ impl Dcc {
 /// Accumulates the configuration shared by all DCC flavours; finish with
 /// [`DccBuilder::centralized`], [`DccBuilder::distributed`],
 /// [`DccBuilder::incremental`] or [`DccBuilder::repair`].
+#[derive(Debug)]
 pub struct DccBuilder {
     tau: usize,
     order: DeletionOrder,
@@ -81,23 +77,6 @@ pub struct DccBuilder {
     round_limit: usize,
     heartbeat_timeout: usize,
     comm_range: f64,
-    bias: Option<BiasFn>,
-}
-
-impl fmt::Debug for DccBuilder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DccBuilder")
-            .field("tau", &self.tau)
-            .field("order", &self.order)
-            .field("engine", &self.engine)
-            .field("link", &self.link)
-            .field("faults", &self.faults.is_some())
-            .field("round_limit", &self.round_limit)
-            .field("heartbeat_timeout", &self.heartbeat_timeout)
-            .field("comm_range", &self.comm_range)
-            .field("bias", &self.bias.is_some())
-            .finish()
-    }
 }
 
 impl DccBuilder {
@@ -156,17 +135,6 @@ impl DccBuilder {
         self
     }
 
-    /// Adds an additive deletion-priority bias to the centralized flavour —
-    /// *smaller wins*, so low-bias nodes sleep preferentially (e.g. pass
-    /// residual energy to spare depleted nodes).
-    pub fn energy_bias<F>(mut self, bias: F) -> Self
-    where
-        F: Fn(NodeId) -> f64 + Send + Sync + 'static,
-    {
-        self.bias = Some(Box::new(bias));
-        self
-    }
-
     /// Refuses a lossy link model for the flavours that ignore it.
     fn check_reliable(&self, what: &'static str) -> Result<(), SimError> {
         match self.link {
@@ -192,7 +160,6 @@ impl DccBuilder {
         Ok(CentralizedRunner {
             order: self.order,
             engine: VptEngine::new(self.tau, self.engine),
-            bias: self.bias,
         })
     }
 
@@ -263,20 +230,10 @@ impl DccBuilder {
 
 /// Engine-backed centralized DCC scheduler produced by
 /// [`DccBuilder::centralized`].
+#[derive(Debug)]
 pub struct CentralizedRunner {
     order: DeletionOrder,
     engine: VptEngine,
-    bias: Option<BiasFn>,
-}
-
-impl fmt::Debug for CentralizedRunner {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CentralizedRunner")
-            .field("order", &self.order)
-            .field("engine", &self.engine)
-            .field("bias", &self.bias.is_some())
-            .finish()
-    }
 }
 
 impl CentralizedRunner {
@@ -292,24 +249,11 @@ impl CentralizedRunner {
         boundary: &[bool],
         rng: &mut R,
     ) -> Result<CoverageSet, SimError> {
-        self.run_excluding(graph, boundary, &[], rng)
-    }
-
-    /// Runs the schedule treating `excluded` nodes as already gone (dead
-    /// batteries); they appear in neither `active` nor `deleted`.
-    pub fn run_excluding<R: Rng>(
-        &mut self,
-        graph: &Graph,
-        boundary: &[bool],
-        excluded: &[NodeId],
-        rng: &mut R,
-    ) -> Result<CoverageSet, SimError> {
-        let bias = &self.bias;
         run_schedule(
             graph,
             boundary,
-            excluded,
-            |v| bias.as_ref().map_or(0.0, |f| f(v)),
+            &[],
+            |_| 0.0,
             self.order,
             &mut self.engine,
             rng,
@@ -597,29 +541,6 @@ mod tests {
         assert_eq!(set.active, reference.active, "same RNG ⇒ same coverage set");
         assert_eq!(set.deleted, reference.deleted);
         assert_eq!(set.rounds, reference.rounds);
-    }
-
-    #[test]
-    fn energy_bias_spares_high_energy_nodes_last() {
-        // Bias two interior nodes very low: they must be deleted before any
-        // unbiased interior node can win a sequential election.
-        let g = generators::king_grid_graph(5, 5);
-        let boundary = king_boundary(5, 5);
-        let favoured = NodeId(12);
-        let mut runner = Dcc::builder(4)
-            .order(DeletionOrder::Sequential)
-            .energy_bias(move |v| if v == favoured { 10.0 } else { 0.0 })
-            .centralized()
-            .unwrap();
-        let mut rng = StdRng::seed_from_u64(2);
-        let set = runner.run(&g, &boundary, &mut rng).unwrap();
-        if let Some(pos) = set.deleted.iter().position(|&v| v == favoured) {
-            assert_eq!(
-                pos,
-                set.deleted.len() - 1,
-                "the favoured node must sleep last if at all"
-            );
-        }
     }
 
     #[test]

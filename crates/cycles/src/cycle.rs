@@ -190,11 +190,6 @@ impl Cycle {
         &self.edges
     }
 
-    /// Consumes the cycle, returning its incidence vector.
-    pub fn into_edge_vec(self) -> BitVec {
-        self.edges
-    }
-
     /// Iterates over the edge ids in the element.
     pub fn edge_ids(&self) -> impl Iterator<Item = EdgeId> + '_ {
         self.edges.ones().map(EdgeId::from)

@@ -175,12 +175,6 @@ impl BitVec {
         None
     }
 
-    /// Number of `u64` blocks backing this vector.
-    #[inline]
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// In-place XOR with `other`, touching only blocks `from_block..`.
     ///
     /// Sound whenever both operands are known to be zero below `from_block`

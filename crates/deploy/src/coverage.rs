@@ -173,76 +173,6 @@ pub fn verify_coverage(
     }
 }
 
-/// Result of a k-coverage check (every point sensed by at least `k`
-/// sensors — the redundancy variant the paper's related work pursues).
-#[derive(Debug, Clone)]
-pub struct KCoverageReport {
-    /// Smallest number of sensors covering any sampled cell.
-    pub min_degree: usize,
-    /// Fraction of cells covered by at least `k` sensors.
-    pub fraction_k_covered: f64,
-    /// The `k` the report was computed for.
-    pub k: usize,
-}
-
-impl KCoverageReport {
-    /// Returns `true` when every sampled cell is covered at least `k`-fold.
-    pub fn is_k_covered(&self) -> bool {
-        self.min_degree >= self.k
-    }
-}
-
-/// Rasterised k-coverage verification: counts, per target cell, how many
-/// active sensors see it.
-///
-/// # Panics
-///
-/// Panics if `resolution` is not positive or `k` is zero.
-pub fn verify_k_coverage(
-    positions: &[Point],
-    active: &[NodeId],
-    rs: f64,
-    target: Rect,
-    resolution: f64,
-    k: usize,
-) -> KCoverageReport {
-    assert!(resolution > 0.0, "resolution must be positive");
-    assert!(k > 0, "coverage multiplicity must be positive");
-    let cols = (target.width() / resolution).ceil().max(0.0) as usize;
-    let rows = (target.height() / resolution).ceil().max(0.0) as usize;
-    if cols == 0 || rows == 0 {
-        return KCoverageReport {
-            min_degree: usize::MAX,
-            fraction_k_covered: 1.0,
-            k,
-        };
-    }
-    let rs2 = rs * rs;
-    let mut min_degree = usize::MAX;
-    let mut k_covered = 0usize;
-    for r in 0..rows {
-        for c in 0..cols {
-            let p = Point::new(
-                target.min.x + (c as f64 + 0.5) * resolution,
-                target.min.y + (r as f64 + 0.5) * resolution,
-            );
-            let degree = active
-                .iter()
-                .filter(|v| positions[v.index()].distance_sq(p) <= rs2)
-                .count();
-            min_degree = min_degree.min(degree);
-            if degree >= k {
-                k_covered += 1;
-            }
-        }
-    }
-    KCoverageReport {
-        min_degree,
-        fraction_k_covered: k_covered as f64 / (cols * rows) as f64,
-        k,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,34 +256,5 @@ mod tests {
         let report = verify_coverage(&[], &[], 1.0, Rect::new(3.0, 3.0, 3.0, 3.0), 0.5);
         assert!(report.is_blanket());
         assert_eq!(report.covered_fraction, 1.0);
-    }
-
-    #[test]
-    fn k_coverage_counts_multiplicity() {
-        // Two co-located sensors: 2-covered everywhere, not 3-covered.
-        let positions = vec![Point::new(5.0, 5.0), Point::new(5.1, 5.0)];
-        let target = Rect::new(4.5, 4.5, 5.5, 5.5);
-        let two = verify_k_coverage(&positions, &ids(2), 2.0, target, 0.1, 2);
-        assert!(two.is_k_covered());
-        assert_eq!(two.fraction_k_covered, 1.0);
-        let three = verify_k_coverage(&positions, &ids(2), 2.0, target, 0.1, 3);
-        assert!(!three.is_k_covered());
-        assert_eq!(three.fraction_k_covered, 0.0);
-        assert_eq!(three.min_degree, 2);
-    }
-
-    #[test]
-    fn k_coverage_consistent_with_blanket() {
-        let positions = vec![Point::new(5.0, 5.0)];
-        let target = Rect::new(4.5, 4.5, 5.5, 5.5);
-        let blanket = verify_coverage(&positions, &ids(1), 2.0, target, 0.1);
-        let k1 = verify_k_coverage(&positions, &ids(1), 2.0, target, 0.1, 1);
-        assert_eq!(blanket.is_blanket(), k1.is_k_covered());
-    }
-
-    #[test]
-    #[should_panic(expected = "multiplicity")]
-    fn k_coverage_rejects_zero_k() {
-        let _ = verify_k_coverage(&[], &[], 1.0, Rect::new(0.0, 0.0, 1.0, 1.0), 0.5, 0);
     }
 }

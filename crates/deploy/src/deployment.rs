@@ -43,18 +43,6 @@ pub fn uniform<R: Rng>(n: usize, region: Rect, rng: &mut R) -> Deployment {
     Deployment { positions, region }
 }
 
-/// Poisson-style deployment: the node count is drawn so the *expected*
-/// density is `density` nodes per unit area, positions uniform.
-///
-/// (A homogeneous Poisson point process conditioned on its count is exactly
-/// a uniform deployment, so drawing the count then placing uniformly matches
-/// the process.)
-pub fn poisson<R: Rng>(density: f64, region: Rect, rng: &mut R) -> Deployment {
-    let lambda = density * region.area();
-    let n = sample_poisson(lambda, rng);
-    uniform(n, region, rng)
-}
-
 /// Perturbed grid: `cols × rows` nodes on a lattice filling `region`, each
 /// jittered uniformly by up to `jitter` in both axes (clamped to the
 /// region).
@@ -93,41 +81,6 @@ pub fn perturbed_grid<R: Rng>(
     Deployment { positions, region }
 }
 
-/// Uniform random deployment avoiding a set of rectangular holes (e.g. a
-/// courtyard or a pond the motes cannot occupy) — the multiply-connected
-/// setting of the paper's Proposition 3.
-///
-/// Placement uses rejection sampling; with pathological hole sets covering
-/// nearly the whole region this can loop long, so holes are capped at 90 %
-/// of the region area.
-///
-/// # Panics
-///
-/// Panics if the holes cover 90 % or more of the region.
-pub fn uniform_with_holes<R: Rng>(
-    n: usize,
-    region: Rect,
-    holes: &[Rect],
-    rng: &mut R,
-) -> Deployment {
-    let hole_area: f64 = holes.iter().map(Rect::area).sum();
-    assert!(
-        hole_area < 0.9 * region.area(),
-        "holes cover too much of the region for rejection sampling"
-    );
-    let mut positions = Vec::with_capacity(n);
-    while positions.len() < n {
-        let p = Point::new(
-            rng.gen_range(region.min.x..=region.max.x),
-            rng.gen_range(region.min.y..=region.max.y),
-        );
-        if holes.iter().all(|h| !h.contains(p)) {
-            positions.push(p);
-        }
-    }
-    Deployment { positions, region }
-}
-
 /// Side length of the square region in which `n` nodes with communication
 /// range `rc` have expected average degree `degree` (from the UDG density
 /// relation `deg ≈ n·π·rc² / A`).
@@ -137,30 +90,6 @@ pub fn uniform_with_holes<R: Rng>(
 pub fn square_side_for_degree(n: usize, rc: f64, degree: f64) -> f64 {
     assert!(degree > 0.0, "target degree must be positive");
     (n as f64 * std::f64::consts::PI * rc * rc / degree).sqrt()
-}
-
-fn sample_poisson<R: Rng>(lambda: f64, rng: &mut R) -> usize {
-    if lambda <= 0.0 {
-        return 0;
-    }
-    if lambda < 30.0 {
-        // Knuth's product method.
-        let l = (-lambda).exp();
-        let mut k = 0usize;
-        let mut p = 1.0;
-        loop {
-            p *= rng.gen::<f64>();
-            if p <= l {
-                return k;
-            }
-            k += 1;
-        }
-    }
-    // Normal approximation for large lambda.
-    let u: f64 = rng.gen_range(1e-12..1.0);
-    let v: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
-    let z = (-2.0 * u.ln()).sqrt() * v.cos();
-    (lambda + z * lambda.sqrt()).round().max(0.0) as usize
 }
 
 #[cfg(test)]
@@ -193,24 +122,6 @@ mod tests {
             (400..600).contains(&q1),
             "quadrant count {q1} too far from 500"
         );
-    }
-
-    #[test]
-    fn poisson_count_near_expectation() {
-        let region = Rect::new(0.0, 0.0, 10.0, 10.0);
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut total = 0;
-        for _ in 0..20 {
-            total += poisson(5.0, region, &mut rng).len();
-        }
-        let avg = total as f64 / 20.0;
-        assert!((avg - 500.0).abs() < 50.0, "average {avg} too far from 500");
-    }
-
-    #[test]
-    fn poisson_zero_density() {
-        let mut rng = StdRng::seed_from_u64(1);
-        assert!(poisson(0.0, Rect::new(0.0, 0.0, 1.0, 1.0), &mut rng).is_empty());
     }
 
     #[test]

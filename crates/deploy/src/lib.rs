@@ -8,7 +8,7 @@
 //!
 //! * [`geometry`] — points, rectangles, minimum enclosing circles (the hole
 //!   metric), winding-parity tests;
-//! * [`deployment`] — uniform / Poisson / perturbed-grid node placement;
+//! * [`deployment`] — uniform / perturbed-grid node placement;
 //! * [`radio`] — UDG and quasi-UDG connectivity models;
 //! * [`mobility`] — random-waypoint / bounded-drift walkers, duty-cycle
 //!   schedules and degradation-aware churn connectivity;

@@ -47,17 +47,6 @@ pub enum MobilityModel {
     },
 }
 
-impl MobilityModel {
-    /// The per-round distance bound of the model (used by callers to size
-    /// the repair dirty-region).
-    pub fn max_step(&self) -> f64 {
-        match *self {
-            MobilityModel::RandomWaypoint { speed, .. } => speed.max(0.0),
-            MobilityModel::BoundedDrift { step, .. } => step.max(0.0),
-        }
-    }
-}
-
 /// Deterministic per-node mobility state: advances a position vector one
 /// round at a time, drawing all randomness from a single seeded stream in
 /// node-index order.

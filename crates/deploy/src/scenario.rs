@@ -80,50 +80,6 @@ pub fn boundary_band(deployment: &Deployment, band: f64) -> Vec<bool> {
         .collect()
 }
 
-/// Computes a *thin connected* boundary ring: the band width starts at
-/// `initial` and grows geometrically until the band-induced subgraph is
-/// connected (and has at least 3 nodes), mimicking the sparse boundary
-/// cycles produced by location-free boundary recognition — the paper's
-/// Fig. 7 boundary has only 26 of 296 nodes.
-///
-/// Falls back to the full node set if no width below the region's half
-/// extent connects the band.
-pub fn connected_boundary_ring(graph: &Graph, deployment: &Deployment, initial: f64) -> Vec<bool> {
-    let max_band = (deployment.region.width() + deployment.region.height()) / 2.0;
-    let cx = (deployment.region.min.x + deployment.region.max.x) / 2.0;
-    let cy = (deployment.region.min.y + deployment.region.max.y) / 2.0;
-    const SECTORS: usize = 24;
-    let mut band = initial.max(1e-6);
-    while band <= max_band {
-        let flags = boundary_band(deployment, band);
-        let nodes: Vec<NodeId> = flags
-            .iter()
-            .enumerate()
-            .filter(|&(_i, &b)| b)
-            .map(|(i, &_b)| NodeId::from(i))
-            .collect();
-        if nodes.len() >= 3 {
-            // The ring must encircle the interior: every angular sector
-            // around the region centre holds at least one band node
-            // (otherwise the band is C-shaped and carries no boundary
-            // cycle).
-            let mut sector_hit = [false; SECTORS];
-            for &v in &nodes {
-                let p = deployment.positions[v.index()];
-                let ang = (p.y - cy).atan2(p.x - cx) + std::f64::consts::PI;
-                let s = ((ang / std::f64::consts::TAU) * SECTORS as f64) as usize;
-                sector_hit[s.min(SECTORS - 1)] = true;
-            }
-            let view = confine_graph::Masked::from_active(graph, &nodes);
-            if sector_hit.iter().all(|&h| h) && confine_graph::traverse::is_connected(&view) {
-                return flags;
-            }
-        }
-        band *= 1.25;
-    }
-    vec![true; deployment.len()]
-}
-
 /// Builds the paper's standard random scenario: `n` nodes uniform in a
 /// square sized for the requested average `degree` under a UDG of range
 /// `rc`, with a thin connected boundary ring and a target area `rc` inside

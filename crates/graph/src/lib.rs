@@ -28,7 +28,6 @@
 //!   and benchmark suites.
 //! * [`cut`] — articulation points and bridges, used by the schedulers'
 //!   connectivity diagnostics.
-//! * [`dot`] — Graphviz export for debugging.
 //!
 //! # Example
 //!
@@ -56,7 +55,6 @@ mod graph;
 mod view;
 
 pub mod cut;
-pub mod dot;
 pub mod generators;
 pub mod mis;
 pub mod spt;

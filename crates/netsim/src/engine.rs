@@ -157,13 +157,6 @@ pub enum SimError {
         /// The offending node.
         node: NodeId,
     },
-    /// The asynchronous engine's delivery budget ran out before its event
-    /// queue drained (a protocol that chatters forever, or a budget set too
-    /// low for the topology).
-    EventBudgetExhausted {
-        /// Messages that were delivered before the budget ran out.
-        delivered: usize,
-    },
     /// An internal invariant of a driver or engine was violated — the
     /// simulation state is inconsistent and the run cannot continue. This
     /// replaces panics on "impossible" states in library code.
@@ -200,12 +193,6 @@ impl fmt::Display for SimError {
             }
             SimError::NotActive { node } => {
                 write!(f, "node {} is not in the scheduled active set", node.0)
-            }
-            SimError::EventBudgetExhausted { delivered } => {
-                write!(
-                    f,
-                    "event budget exhausted after {delivered} deliveries with the queue non-empty"
-                )
             }
             SimError::Internal { what } => {
                 write!(f, "internal simulation invariant violated: {what}")

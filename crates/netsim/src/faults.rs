@@ -83,11 +83,6 @@ impl Partition {
     pub fn blocks(&self, a: NodeId, b: NodeId, round: usize) -> bool {
         round >= self.from && round < self.until && self.side.contains(&a) != self.side.contains(&b)
     }
-
-    /// Is the split active (not yet healed) at `round`?
-    pub fn active_at(&self, round: usize) -> bool {
-        round >= self.from && round < self.until
-    }
 }
 
 /// A deterministic fault script, applied by the engine as rounds elapse.

@@ -18,10 +18,6 @@
 //!   scripts crash faults (with optional recovery), network partitions,
 //!   link flapping and per-link loss, and [`faults::Heartbeat`] detects
 //!   crashed neighbours within a configurable timeout.
-//! * [`async`] — an event-driven engine with per-message latencies, for
-//!   checking that the localized primitives survive asynchrony.
-//! * [`schedule`] — pluggable delivery schedules for the async engine,
-//!   including a seeded adversarial reorder/duplicate scheduler.
 //! * [`chaos`] — the deterministic simulation-testing substrate: seed
 //!   triples, fault-event plans, replayable traces and a delta-debugging
 //!   shrinker for minimal counterexamples.
@@ -33,21 +29,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod async_engine;
 mod engine;
 
 pub mod chaos;
 pub mod faults;
 pub mod protocols;
-pub mod schedule;
 pub mod server_faults;
-
-/// Event-driven asynchronous execution (per-message latencies, message
-/// reordering) — see [`AsyncEngine`](crate::async::AsyncEngine).
-pub mod r#async {
-    pub use crate::async_engine::{
-        AsyncContext, AsyncEngine, AsyncProtocol, AsyncStats, LatencyModel,
-    };
-}
 
 pub use engine::{Context, Engine, Envelope, LinkModel, Protocol, RunStats, SimError};
