@@ -590,9 +590,9 @@ fn cmd_churn(opts: &Opts) -> Result<(), String> {
         degree: opts.positive_f64("degree", 12.0)?,
         rounds: opts.usize("rounds", 20)?,
         model,
-        speed: opts.f64("speed", 0.05)?,
+        speed: opts.non_negative_f64("speed", 0.05)?,
         pause: opts.usize("pause", 2)?,
-        drift_bound: opts.f64("drift-bound", 0.5)?,
+        drift_bound: opts.non_negative_f64("drift-bound", 0.5)?,
         duty_period: opts.usize("duty-period", 8)?,
         duty_down: opts.usize("duty-down", 2)?,
         degrade_every: opts.usize("degrade-every", 5)?,

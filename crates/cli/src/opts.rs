@@ -102,6 +102,16 @@ impl Opts {
             Err(format!("--{key} must be > 0, got {v}"))
         }
     }
+
+    /// A finite f64 option with a default that must be ≥ 0.
+    pub fn non_negative_f64(&self, key: &str, default: f64) -> Result<f64, String> {
+        let v = self.f64(key, default)?;
+        if v >= 0.0 {
+            Ok(v)
+        } else {
+            Err(format!("--{key} must be ≥ 0, got {v}"))
+        }
+    }
 }
 
 #[cfg(test)]
@@ -130,6 +140,9 @@ mod tests {
         assert!(o.f64("rc", 1.0).is_err());
         assert!(o.positive_f64("degree", 9.5).is_err());
         assert_eq!(o.positive_f64("speed", 0.5).unwrap(), 0.5);
+        let o = opts(&["--speed", "-1", "--drift-bound", "0"]);
+        assert!(o.non_negative_f64("speed", 0.05).is_err());
+        assert_eq!(o.non_negative_f64("drift-bound", 0.5).unwrap(), 0.0);
     }
 
     #[test]

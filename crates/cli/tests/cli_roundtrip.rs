@@ -179,6 +179,11 @@ fn helpful_errors() {
         ),
         (&["chaos", "--degree", "0"][..], "--degree"),
         (&["churn", "--degree", "0"][..], "--degree"),
+        (&["churn", "--speed", "-1"][..], "--speed"),
+        (
+            &["churn", "--model", "drift", "--drift-bound", "-1"][..],
+            "--drift-bound",
+        ),
     ] {
         let out = cli().args(args).output().expect("spawn");
         let stderr = String::from_utf8_lossy(&out.stderr);

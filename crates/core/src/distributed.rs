@@ -412,7 +412,7 @@ where
     let verdicts = engine.evaluate_jobs(&jobs);
     let mut deletable = vec![false; boundary.len()];
     let mut any = false;
-    for (job, ok) in jobs.iter().zip(verdicts.iter()) {
+    for (job, ok) in jobs.iter().zip(verdicts) {
         if ok {
             deletable[job.node.index()] = true;
             any = true;

@@ -87,4 +87,4 @@ pub mod vpt_engine;
 pub use config::{ConfineConfig, Guarantee};
 pub use dcc::{Dcc, DccBuilder};
 pub use schedule::{CoverageSet, DeletionOrder};
-pub use vpt_engine::{EngineConfig, EngineStats, VerdictBits, VptEngine};
+pub use vpt_engine::{EngineConfig, EngineStats, VptEngine};

@@ -174,7 +174,7 @@ where
         }
     }
     let verdicts = vpt.evaluate_jobs(&jobs);
-    for (job, ok) in jobs.iter().zip(verdicts.iter()) {
+    for (job, ok) in jobs.iter().zip(verdicts) {
         deletable[job.node.index()] = ok;
         if let Some(view) = views[job.node.index()].as_mut() {
             view.verdict = Some(ok);

@@ -16,5 +16,5 @@ pub use crate::dcc::{
 pub use crate::distributed::{DistributedStats, RepairTraffic};
 pub use crate::repair::{ReconcileOutcome, RejoinOutcome, RejoinPolicy, RepairOutcome};
 pub use crate::schedule::{CoverageSet, DeletionOrder};
-pub use crate::vpt_engine::{EngineConfig, EngineStats, VerdictBits, VptEngine};
+pub use crate::vpt_engine::{EngineConfig, EngineStats, VptEngine};
 pub use confine_netsim::SimError;

@@ -1053,7 +1053,7 @@ mod prune_oracle {
                 .collect();
             drop(discovery);
             let mut deletable = vec![false; graph.node_count()];
-            for (job, ok) in jobs.iter().zip(vpt.evaluate_jobs(&jobs).iter()) {
+            for (job, ok) in jobs.iter().zip(vpt.evaluate_jobs(&jobs)) {
                 deletable[job.node.index()] = ok;
             }
             let Some(winners) = repair.elect(&masked, &deletable, &prefer_sleep, stats, rng)?

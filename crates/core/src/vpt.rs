@@ -13,9 +13,7 @@
 //! partition. Both tests are local — a node can evaluate them from `k`-hop
 //! connectivity alone, which is what makes the scheduler distributed.
 
-use confine_cycles::horton::{
-    connected_and_max_irreducible_at_most_with, max_irreducible_at_most_with, CycleScratch,
-};
+use confine_cycles::horton::{connected_and_max_irreducible_at_most_with, CycleScratch};
 use confine_graph::{traverse, EdgeView, Graph, GraphView, NeighborhoodScratch, NodeId};
 
 /// Reusable scratch state for repeated VPT evaluations.
@@ -169,10 +167,10 @@ pub fn vpt_graph_ok<G: EdgeView>(punctured: &G, tau: usize) -> bool {
     vpt_graph_ok_with(punctured, tau, &mut VptScratch::default())
 }
 
-/// Scratch-reusing form of [`vpt_graph_ok`].
+/// Scratch-reusing form of [`vpt_graph_ok`]: one fused kernel sweep answers
+/// both parts, as on the engine's CSR path.
 pub fn vpt_graph_ok_with<G: EdgeView>(punctured: &G, tau: usize, scratch: &mut VptScratch) -> bool {
-    traverse::is_connected(punctured)
-        && max_irreducible_at_most_with(punctured, tau, &mut scratch.cycles)
+    connected_and_max_irreducible_at_most_with(punctured, tau, &mut scratch.cycles)
 }
 
 #[cfg(test)]

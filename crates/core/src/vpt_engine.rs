@@ -198,23 +198,18 @@ impl VptEngine {
     }
 
     /// Evaluates caller-materialised punctured subgraphs, fanning them out
-    /// over the worker threads. Returns a packed verdict bitset in job
-    /// order.
+    /// over the worker threads. Returns one verdict per job, in job order.
     ///
     /// This is the path the protocol-driven schedulers (incremental, repair,
     /// distributed) use: their discovery state already holds each node's
     /// punctured graph, and the ones that keep views also keep the verdicts,
     /// so every job here is evaluated afresh.
-    pub fn evaluate_jobs(&mut self, jobs: &[EvalJob]) -> VerdictBits {
+    pub fn evaluate_jobs(&mut self, jobs: &[EvalJob]) -> Vec<bool> {
         let tau = self.tau;
-        let outcomes = run_jobs(jobs, &mut self.scratches, |job, scratch| {
+        let verdicts = run_jobs(jobs, &mut self.scratches, |job, scratch| {
             vpt_graph_ok_with(&job.graph, tau, scratch)
         });
         self.stats.evaluations += jobs.len();
-        let mut verdicts = VerdictBits::with_capacity(jobs.len());
-        for verdict in outcomes {
-            verdicts.push(verdict);
-        }
         verdicts
     }
 
@@ -241,65 +236,6 @@ impl VptEngine {
         if v.index() < self.verdicts.len() && self.verdicts[v.index()].take().is_some() {
             self.stats.invalidations += 1;
         }
-    }
-}
-
-/// A packed verdict bitset, returned by [`VptEngine::evaluate_jobs`] in job
-/// order — one bit per job instead of one byte, sized for schedules that
-/// evaluate tens of thousands of candidates per round.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct VerdictBits {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl VerdictBits {
-    pub(crate) fn with_capacity(n: usize) -> Self {
-        VerdictBits {
-            words: Vec::with_capacity(n.div_ceil(64)),
-            len: 0,
-        }
-    }
-
-    pub(crate) fn push(&mut self, verdict: bool) {
-        let (w, bit) = (self.len / 64, self.len % 64);
-        if bit == 0 {
-            self.words.push(0);
-        }
-        if verdict {
-            self.words[w] |= 1u64 << bit;
-        }
-        self.len += 1;
-    }
-
-    /// Verdict of job `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn get(&self, i: usize) -> bool {
-        assert!(i < self.len, "verdict index {i} out of range {}", self.len);
-        (self.words[i / 64] >> (i % 64)) & 1 == 1
-    }
-
-    /// Number of verdicts.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` when no jobs were evaluated.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of positive (deletable) verdicts.
-    pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Iterates the verdicts in job order.
-    pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
-        (0..self.len).map(move |i| self.get(i))
     }
 }
 
@@ -406,10 +342,9 @@ mod tests {
         let verdicts = engine.evaluate_jobs(&jobs);
         assert_eq!(verdicts.len(), jobs.len());
         assert_eq!(engine.stats().evaluations, jobs.len());
-        assert!(verdicts.count_ones() <= verdicts.len());
         // Hub deletable at τ = 6; rim nodes' punctured balls lose the rim
         // cycle closure — verdicts must match fresh evaluation regardless.
-        for (job, verdict) in jobs.iter().zip(verdicts.iter()) {
+        for (job, &verdict) in jobs.iter().zip(&verdicts) {
             assert_eq!(verdict, is_vertex_deletable(&g, job.node, 6));
         }
     }

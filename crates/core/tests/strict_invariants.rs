@@ -1,12 +1,12 @@
 //! Property tests that only run with `--features strict-invariants`.
 //!
-//! The feature arms runtime audits inside the hot paths — GF(2) rank
-//! preservation in `Decomposer::from_basis`, partition soundness in
-//! `PartitionTester`, and sampled cache-coherence re-checks in `VptEngine` —
-//! so these tests simply drive the schedulers and testers across random
-//! quasi-UDG deployments and let every audit fire on every query. A cache
-//! bug, a stale kept verdict or an elimination rank loss panics here even
-//! if the externally visible result happens to look plausible.
+//! The feature arms runtime audits inside the hot paths — partition
+//! soundness in `PartitionTester` and sampled cache-coherence re-checks in
+//! `VptEngine` — so these tests simply drive the schedulers and testers
+//! across random quasi-UDG deployments and let every audit fire on every
+//! query. A cache bug, a stale kept verdict or a decomposition that does not
+//! sum to its target panics here even if the externally visible result
+//! happens to look plausible.
 #![cfg(feature = "strict-invariants")]
 
 use confine_check::cases;
@@ -35,7 +35,7 @@ fn quasi_udg(n: usize, rng: &mut impl Rng) -> confine_deploy::scenario::Scenario
 /// Full engine-driven schedule on random quasi-UDGs, then partition
 /// certification of the survivors: every `deletable_candidates` sweep
 /// runs the sampled fresh-evaluation audit, and every decomposition runs
-/// the rank and partition-sum audits.
+/// the partition-sum audit.
 #[test]
 fn audits_hold_across_quasi_udg_schedules() {
     cases(12, |rng| {

@@ -271,7 +271,6 @@ const TREE: u32 = u32::MAX;
 /// it, pair queries fall back to binary search on the incident slices.
 const DENSE_PAIR_ENTRIES: usize = 1 << 20;
 
-/// XORs annihilator column `c` into `probe` (skips forest edges).
 /// Checked narrowing for node/edge indices on the BFS hot paths: the graph
 /// substrate stores ids as `u32` (`NodeId`/`EdgeId` wrap `u32`), so every
 /// index a view hands out is `< 2^32`. The debug assertion guards the
@@ -289,9 +288,13 @@ fn mask_above(i: usize) -> u64 {
     (!0u64).checked_shl(u32_of(i % 64) + 1).unwrap_or(0)
 }
 
-#[inline]
-fn xor_coord(probe: &mut [u64], cols: &[u64], w: usize, c: u32) {
+/// XORs annihilator column `c` into `probe` (skips forest and seeded edges,
+/// whose functionals are identically zero). Columns are `probe.len()` words
+/// wide.
+#[inline(always)]
+fn xor_coord(probe: &mut [u64], cols: &[u64], c: u32) {
     if c != TREE {
+        let w = probe.len();
         let base = c as usize * w;
         for (pi, ci) in probe.iter_mut().zip(&cols[base..base + w]) {
             *pi ^= ci;
@@ -303,8 +306,9 @@ fn xor_coord(probe: &mut [u64], cols: &[u64], w: usize, c: u32) {
 /// vector whose probe residual is `t` (nonzero): picks the lowest live
 /// functional `j` with `t_j = 1` and replaces every functional `g` that sees
 /// the vector by `g + f_j`; `f_j` itself drops out (its row auto-zeroes,
-/// since `t_j = 1`).
-fn eliminate(cols: &mut [u64], w: usize, t: &[u64]) {
+/// since `t_j = 1`). Columns are `t.len()` words wide.
+#[inline(always)]
+fn eliminate(cols: &mut [u64], t: &[u64]) {
     let (jw, word) = t
         .iter()
         .enumerate()
@@ -315,7 +319,7 @@ fn eliminate(cols: &mut [u64], w: usize, t: &[u64]) {
     // Branchless: testing `col[jw]` bit `jb` per column would mispredict
     // ~half the time across the whole annihilator; a masked XOR keeps the
     // scan a straight line of word ops.
-    for col in cols.chunks_exact_mut(w) {
+    for col in cols.chunks_exact_mut(t.len()) {
         let mask = 0u64.wrapping_sub((col[jw] >> jb) & 1);
         for (ci, ti) in col.iter_mut().zip(t) {
             *ci ^= ti & mask;
@@ -367,11 +371,13 @@ pub fn max_irreducible_at_most<V: EdgeView>(view: &V, tau: usize) -> bool {
 /// *fundamental* cycle (an LCA walk on the BFS forest, capped at `tau`
 /// steps) is already short are pre-accepted and their coordinates stripped
 /// — unit vectors eliminate to functionals that vanish there — so `d`
-/// starts well below `ν` and the live width usually fits one word; 4-cycle
-/// diagonals probe only the `s` star cycles through one fixed common
-/// neighbour, which span all `C(s+1, 2)` quadrilaterals of that diagonal;
-/// and the tier scan is monomorphised over the functional word width with
-/// register-resident probes (`W ∈ {1, 2, 4}`, dynamic fallback above).
+/// starts well below `ν`; 4-cycle diagonals probe only the `s` star cycles
+/// through one fixed common neighbour, which span all `C(s+1, 2)`
+/// quadrilaterals of that diagonal; and the one tier scan is monomorphised
+/// over the functional word width, with register-resident probes at
+/// `W ∈ {1, 2, 4}` words and the scratch probe slice above. Dense
+/// neighbourhoods do reach the wide scan: on the `fixpoint` benchmark's
+/// τ = 6 balls, one kernel call in six needs more than four words.
 ///
 /// Candidate generation is tiered: triangles from adjacency-bitset
 /// intersections, 4-cycles from common-neighbour pairs (both enumerated
@@ -431,11 +437,10 @@ pub(crate) fn short_cycles_span<V: EdgeView>(
     // The kernel returned from its tiers, so `coord` and `cols` hold the
     // final annihilator: one column of `w` words per surviving coordinate.
     let live = scratch.coord.iter().filter(|&&c| c != TREE).count();
-    let w = scratch.cols.len() / live;
     scratch.probe.clear();
-    scratch.probe.resize(w, 0);
+    scratch.probe.resize(scratch.cols.len() / live, 0);
     for e in target.ones() {
-        xor_coord(&mut scratch.probe, &scratch.cols, w, scratch.coord[e]);
+        xor_coord(&mut scratch.probe, &scratch.cols, scratch.coord[e]);
     }
     scratch.probe.iter().all(|&x| x == 0)
 }
@@ -459,10 +464,8 @@ fn span_kernel<V: EdgeView>(
         pair_stamp,
         adj,
         cols,
-        probe,
-        commons,
-        dist2,
         stamp,
+        ..
     } = scratch;
 
     // Stamp hygiene: restart the epoch before the counter can wrap within
@@ -608,168 +611,74 @@ fn span_kernel<V: EdgeView>(
             pair_stamp[bi * n + ai] = s0;
         }
     }
-    // Dispatch on annihilator width. After seeding, punctured
-    // neighbourhoods almost always land at d ≤ 256, where a fixed-width
-    // probe lives entirely in registers and every per-word loop unrolls;
-    // wider graphs (whole-topology audits) take the dynamic-width path.
+    // Dispatch on annihilator width. A fixed width keeps each candidate's
+    // probe in a local array, so it lives in registers and every per-word
+    // loop unrolls; wider annihilators probe through the scratch slice.
+    // After seeding, the τ = 6 balls of the `fixpoint` benchmark spread
+    // their kernel calls 33/21/30/16% over 1, 2, 4 and more than 4 words.
     // Strides 3 are padded up to 4; the pad words are zero throughout, so
     // masked XORs against them are no-ops.
     match ws {
-        1 => scan_tiers::<V, 1>(
-            view,
-            tau,
-            n,
-            nw,
-            s0,
-            dense,
-            coord,
-            adj,
-            pair_val,
-            pair_stamp,
-            visit,
-            depth,
-            parent,
-            parent_edge,
-            queue,
-            commons,
-            dist2,
-            stamp,
-            cols,
-            d,
-        ),
-        2 => scan_tiers::<V, 2>(
-            view,
-            tau,
-            n,
-            nw,
-            s0,
-            dense,
-            coord,
-            adj,
-            pair_val,
-            pair_stamp,
-            visit,
-            depth,
-            parent,
-            parent_edge,
-            queue,
-            commons,
-            dist2,
-            stamp,
-            cols,
-            d,
-        ),
-        4 => scan_tiers::<V, 4>(
-            view,
-            tau,
-            n,
-            nw,
-            s0,
-            dense,
-            coord,
-            adj,
-            pair_val,
-            pair_stamp,
-            visit,
-            depth,
-            parent,
-            parent_edge,
-            queue,
-            commons,
-            dist2,
-            stamp,
-            cols,
-            d,
-        ),
+        1 => scan_tiers::<V, 1>(view, tau, scratch, s0, dense, d),
+        2 => scan_tiers::<V, 2>(view, tau, scratch, s0, dense, d),
+        4 => scan_tiers::<V, 4>(view, tau, scratch, s0, dense, d),
         _ => {
-            probe.clear();
-            probe.resize(ws, 0);
-            scan_tiers_dyn(
-                view,
-                tau,
-                n,
-                nw,
-                s0,
-                dense,
-                coord,
-                adj,
-                pair_val,
-                pair_stamp,
-                visit,
-                depth,
-                parent,
-                parent_edge,
-                queue,
-                commons,
-                dist2,
-                stamp,
-                cols,
-                probe,
-                ws,
-                d,
-            )
+            scratch.probe.clear();
+            scratch.probe.resize(ws, 0);
+            scan_tiers::<V, WIDE>(view, tau, scratch, s0, dense, d)
         }
     }
 }
 
-/// XORs annihilator column `c` into a fixed-width `probe` (skips forest and
-/// seeded edges, whose functionals are identically zero).
+/// Width sentinel of [`scan_tiers`]: the annihilator is wider than four
+/// words, and each candidate probes through the scratch `probe` slice,
+/// sized to the column stride by the dispatch.
+const WIDE: usize = 0;
+
+/// The zeroed probe of one candidate: the fresh local array at a fixed
+/// width, the scratch slice at [`WIDE`].
 #[inline(always)]
-fn xor_coord_w<const W: usize>(probe: &mut [u64; W], cols: &[u64], c: u32) {
-    if c != TREE {
-        let base = c as usize * W;
-        for i in 0..W {
-            probe[i] ^= cols[base + i];
-        }
-    }
-}
-
-/// Fixed-width form of [`eliminate`]: same branchless masked rank-1 update,
-/// with the inner word loop unrolled at compile time.
-#[inline]
-fn eliminate_w<const W: usize>(cols: &mut [u64], t: &[u64; W]) {
-    let (jw, word) = t
-        .iter()
-        .enumerate()
-        .find(|(_, &x)| x != 0)
-        // lint: panic-ok(callers eliminate only nonzero residuals)
-        .expect("residual is nonzero");
-    let jb = word.trailing_zeros();
-    for col in cols.chunks_exact_mut(W) {
-        let mask = 0u64.wrapping_sub((col[jw] >> jb) & 1);
-        for i in 0..W {
-            col[i] ^= t[i] & mask;
-        }
+fn zeroed<'p, const W: usize>(local: &'p mut [u64; W], wide: &'p mut [u64]) -> &'p mut [u64] {
+    if W == WIDE {
+        wide.fill(0);
+        wide
+    } else {
+        local
     }
 }
 
 /// The three candidate tiers (triangles, 4-cycles, depth-capped Horton
-/// sweep) over a `W`-word annihilator. Monomorphised per width so the probe
-/// is a register array and every word loop unrolls; see
-/// [`max_irreducible_at_most_with`] for the tier rationale.
-#[allow(clippy::too_many_arguments)]
+/// sweep) over the seeded annihilator in `scratch`, with `d` live
+/// functionals of `W` words each ([`WIDE`]: the scratch probe's length).
+/// Monomorphised per width so that a fixed-width probe is a register array
+/// and every word loop unrolls; see [`max_irreducible_at_most_with`] for
+/// the tier rationale.
 fn scan_tiers<V: EdgeView, const W: usize>(
     view: &V,
     tau: usize,
-    n: usize,
-    nw: usize,
+    scratch: &mut CycleScratch,
     s0: u32,
     dense: bool,
-    coord: &[u32],
-    adj: &[u64],
-    pair_val: &[u32],
-    pair_stamp: &[u32],
-    visit: &mut [u32],
-    depth: &mut [u32],
-    parent: &mut [u32],
-    parent_edge: &mut [u32],
-    queue: &mut Vec<u32>,
-    commons: &mut Vec<u32>,
-    dist2: &mut Vec<u64>,
-    stamp: &mut u32,
-    cols: &mut [u64],
     mut d: usize,
 ) -> bool {
+    let n = view.node_bound();
+    let nw = n.div_ceil(64);
+    let CycleScratch {
+        visit,
+        depth,
+        parent_edge,
+        parent,
+        queue,
+        coord,
+        pair_val,
+        pair_stamp,
+        adj,
+        cols,
+        probe: wide,
+        commons,
+        dist2,
+        stamp,
+    } = scratch;
     let pair_coord = |a: usize, b: usize| -> u32 {
         if dense {
             debug_assert_eq!(pair_stamp[a * n + b], s0, "pair lookups hit known edges");
@@ -795,12 +704,13 @@ fn scan_tiers<V: EdgeView, const W: usize>(
             while word != 0 {
                 let c = wi * 64 + word.trailing_zeros() as usize;
                 word &= word - 1;
-                let mut probe = [0u64; W];
-                xor_coord_w(&mut probe, cols, ce);
-                xor_coord_w(&mut probe, cols, pair_coord(ai, c));
-                xor_coord_w(&mut probe, cols, pair_coord(bi, c));
+                let mut local = [0u64; W];
+                let probe = zeroed(&mut local, wide);
+                xor_coord(probe, cols, ce);
+                xor_coord(probe, cols, pair_coord(ai, c));
+                xor_coord(probe, cols, pair_coord(bi, c));
                 if probe.iter().any(|&x| x != 0) {
-                    eliminate_w(cols, &probe);
+                    eliminate(cols, probe);
                     d -= 1;
                     if d == 0 {
                         return true;
@@ -862,13 +772,14 @@ fn scan_tiers<V: EdgeView, const W: usize>(
                     let leg_yc = pair_coord(y, c);
                     for &zc in &commons[1..] {
                         let z = zc as usize;
-                        let mut probe = [0u64; W];
-                        xor_coord_w(&mut probe, cols, leg_ay);
-                        xor_coord_w(&mut probe, cols, leg_yc);
-                        xor_coord_w(&mut probe, cols, pair_coord(c, z));
-                        xor_coord_w(&mut probe, cols, pair_coord(z, a));
+                        let mut local = [0u64; W];
+                        let probe = zeroed(&mut local, wide);
+                        xor_coord(probe, cols, leg_ay);
+                        xor_coord(probe, cols, leg_yc);
+                        xor_coord(probe, cols, pair_coord(c, z));
+                        xor_coord(probe, cols, pair_coord(z, a));
                         if probe.iter().any(|&x| x != 0) {
-                            eliminate_w(cols, &probe);
+                            eliminate(cols, probe);
                             d -= 1;
                             if d == 0 {
                                 return true;
@@ -930,220 +841,19 @@ fn scan_tiers<V: EdgeView, const W: usize>(
                 if len < 5 || len as usize > tau {
                     continue;
                 }
-                let mut probe = [0u64; W];
-                xor_coord_w(&mut probe, cols, coord[ei as usize]);
+                let mut local = [0u64; W];
+                let probe = zeroed(&mut local, wide);
+                xor_coord(probe, cols, coord[ei as usize]);
                 for endpoint in [v, wi] {
                     let mut cur = endpoint;
                     while parent_edge[cur] != u32::MAX {
                         let pe = parent_edge[cur] as usize;
-                        xor_coord_w(&mut probe, cols, coord[pe]);
+                        xor_coord(probe, cols, coord[pe]);
                         cur = parent[cur] as usize;
                     }
                 }
                 if probe.iter().any(|&x| x != 0) {
-                    eliminate_w(cols, &probe);
-                    d -= 1;
-                    if d == 0 {
-                        return true;
-                    }
-                }
-            }
-        }
-    }
-    d == 0
-}
-
-/// Dynamic-width twin of [`scan_tiers`] for annihilators wider than four
-/// words (whole-graph audits on large dense topologies). Identical logic,
-/// heap-held probe.
-#[allow(clippy::too_many_arguments)]
-fn scan_tiers_dyn<V: EdgeView>(
-    view: &V,
-    tau: usize,
-    n: usize,
-    nw: usize,
-    s0: u32,
-    dense: bool,
-    coord: &[u32],
-    adj: &[u64],
-    pair_val: &[u32],
-    pair_stamp: &[u32],
-    visit: &mut [u32],
-    depth: &mut [u32],
-    parent: &mut [u32],
-    parent_edge: &mut [u32],
-    queue: &mut Vec<u32>,
-    commons: &mut Vec<u32>,
-    dist2: &mut Vec<u64>,
-    stamp: &mut u32,
-    cols: &mut [u64],
-    probe: &mut [u64],
-    w: usize,
-    mut d: usize,
-) -> bool {
-    let pair_coord = |a: usize, b: usize| -> u32 {
-        if dense {
-            debug_assert_eq!(pair_stamp[a * n + b], s0, "pair lookups hit known edges");
-            pair_val[a * n + b]
-        } else {
-            match view.find_edge(NodeId::from(a), NodeId::from(b)) {
-                Some(e) => coord[e.index()],
-                None => TREE,
-            }
-        }
-    };
-
-    // Tier 1: triangles, once each via their edge with the two smallest
-    // endpoints (c ranges above max(a, b)).
-    for (e, &ce) in coord.iter().enumerate() {
-        let (a, b) = view.edge_endpoints(EdgeId::from(e));
-        let (ai, bi) = (a.index(), b.index());
-        for wi in bi / 64..nw {
-            let mut word = adj[ai * nw + wi] & adj[bi * nw + wi];
-            if wi == bi / 64 {
-                word &= mask_above(bi);
-            }
-            while word != 0 {
-                let c = wi * 64 + word.trailing_zeros() as usize;
-                word &= word - 1;
-                probe.iter_mut().for_each(|x| *x = 0);
-                xor_coord(probe, cols, w, ce);
-                xor_coord(probe, cols, w, pair_coord(ai, c));
-                xor_coord(probe, cols, w, pair_coord(bi, c));
-                if probe.iter().any(|&x| x != 0) {
-                    eliminate(cols, w, probe);
-                    d -= 1;
-                    if d == 0 {
-                        return true;
-                    }
-                }
-            }
-        }
-    }
-    if tau == 3 {
-        return d == 0;
-    }
-
-    // Tier 2: 4-cycles via bitset-discovered diagonals with star reduction;
-    // see [`scan_tiers`].
-    if dist2.len() < nw {
-        dist2.resize(nw, 0);
-    }
-    for a in 0..n {
-        let d2 = &mut dist2[..nw];
-        d2.iter_mut().for_each(|x| *x = 0);
-        for b in view.neighbor_slice(NodeId::from(a)) {
-            let bi = b.index();
-            if bi <= a {
-                continue;
-            }
-            for (di, ri) in d2.iter_mut().zip(&adj[bi * nw..bi * nw + nw]) {
-                *di |= ri;
-            }
-        }
-        for (wi2, &d2w) in d2.iter().enumerate().skip(a / 64) {
-            let mut cword = d2w;
-            if wi2 == a / 64 {
-                cword &= mask_above(a);
-            }
-            while cword != 0 {
-                let c = wi2 * 64 + cword.trailing_zeros() as usize;
-                cword &= cword - 1;
-                commons.clear();
-                for wi in a / 64..nw {
-                    let mut word = adj[a * nw + wi] & adj[c * nw + wi];
-                    if wi == a / 64 {
-                        word &= mask_above(a);
-                    }
-                    while word != 0 {
-                        commons.push(u32_of(wi * 64) + word.trailing_zeros());
-                        word &= word - 1;
-                    }
-                }
-                if commons.len() >= 2 {
-                    let y = commons[0] as usize;
-                    let leg_ay = pair_coord(a, y);
-                    let leg_yc = pair_coord(y, c);
-                    for &zc in &commons[1..] {
-                        let z = zc as usize;
-                        probe.iter_mut().for_each(|x| *x = 0);
-                        xor_coord(probe, cols, w, leg_ay);
-                        xor_coord(probe, cols, w, leg_yc);
-                        xor_coord(probe, cols, w, pair_coord(c, z));
-                        xor_coord(probe, cols, w, pair_coord(z, a));
-                        if probe.iter().any(|&x| x != 0) {
-                            eliminate(cols, w, probe);
-                            d -= 1;
-                            if d == 0 {
-                                return true;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    if tau == 4 {
-        return d == 0;
-    }
-
-    // Tier 3: Horton candidates of length 5..=tau; see [`scan_tiers`].
-    let cap = u32_of(tau / 2);
-    for root in 0..n {
-        *stamp += 1;
-        let sr = *stamp;
-        queue.clear();
-        visit[root] = sr;
-        depth[root] = 0;
-        parent_edge[root] = u32::MAX;
-        queue.push(u32_of(root));
-        let mut head = 0;
-        while head < queue.len() {
-            let v = queue[head] as usize;
-            head += 1;
-            if depth[v] == cap {
-                continue;
-            }
-            let (nbrs, eids) = view.incident_slices(NodeId::from(v));
-            for (&wn, &e) in nbrs.iter().zip(eids) {
-                let wi = wn.index();
-                if visit[wi] != sr {
-                    visit[wi] = sr;
-                    depth[wi] = depth[v] + 1;
-                    parent_edge[wi] = u32_of(e.index());
-                    parent[wi] = u32_of(v);
-                    queue.push(u32_of(wi));
-                }
-            }
-        }
-        for &qv in queue.iter() {
-            let v = qv as usize;
-            let (nbrs, eids) = view.incident_slices(NodeId::from(v));
-            for (&wn, &e) in nbrs.iter().zip(eids) {
-                let wi = wn.index();
-                if wi <= v || visit[wi] != sr {
-                    continue;
-                }
-                let ei = u32_of(e.index());
-                if parent_edge[v] == ei || parent_edge[wi] == ei {
-                    continue;
-                }
-                let len = depth[v] + depth[wi] + 1;
-                if len < 5 || len as usize > tau {
-                    continue;
-                }
-                probe.iter_mut().for_each(|x| *x = 0);
-                xor_coord(probe, cols, w, coord[ei as usize]);
-                for endpoint in [v, wi] {
-                    let mut cur = endpoint;
-                    while parent_edge[cur] != u32::MAX {
-                        let pe = parent_edge[cur] as usize;
-                        xor_coord(probe, cols, w, coord[pe]);
-                        cur = parent[cur] as usize;
-                    }
-                }
-                if probe.iter().any(|&x| x != 0) {
-                    eliminate(cols, w, probe);
+                    eliminate(cols, probe);
                     d -= 1;
                     if d == 0 {
                         return true;
@@ -1266,20 +976,48 @@ mod tests {
         assert_eq!(b, IrreducibleBounds { min: 3, max: 3 });
     }
 
+    /// The `n × n` square lattice with its centre node removed: the four unit
+    /// squares around the centre merge into one 8-cycle hole.
+    fn holed_lattice(n: usize) -> Graph {
+        let g = generators::grid_graph(n, n);
+        let centre = NodeId::from(n / 2 * n + n / 2);
+        let keep: Vec<NodeId> = g.nodes().filter(|&v| v != centre).collect();
+        g.induced_subgraph(&keep)
+            .expect("lattice nodes exist")
+            .graph
+    }
+
     #[test]
     fn max_irreducible_predicate_matches_bounds() {
-        let cases: Vec<Graph> = vec![
+        let mut cases: Vec<(Graph, Option<usize>)> = [
             generators::grid_graph(4, 4),
             generators::king_grid_graph(3, 3),
             generators::petersen_graph(),
             generators::theta_graph(1, 2, 3),
             generators::wheel_graph(6),
             generators::path_graph(5),
-        ];
-        for g in &cases {
-            let bounds = irreducible_cycle_bounds(g);
+        ]
+        .into_iter()
+        .map(|g| {
+            let max = irreducible_cycle_bounds(&g).map(|b| b.max);
+            (g, max)
+        })
+        .collect();
+        // Square lattices reach every annihilator width: at τ = 3 and 4 the
+        // 8×8, 10×10, 14×14 and 18×18 lattices seed 1-, 2-, 4- and 5-word
+        // annihilators (at τ = 4: 42, 72, 156 and 272 live functionals).
+        // With the centre removed, the 8-cycle hole keeps τ = 4…7 false
+        // after the 4-cycle tier has eliminated every unit square. Their
+        // longest irreducible cycle is known (the unit square, or the hole),
+        // so they skip the basis build, which costs ten times their kernel
+        // calls and would dominate this suite's Miri run.
+        for n in [8, 10, 14, 18] {
+            cases.push((generators::grid_graph(n, n), Some(4)));
+            cases.push((holed_lattice(n), Some(8)));
+        }
+        for (g, max) in &cases {
             for tau in 2..=8 {
-                let expected = bounds.is_none_or(|b| b.max <= tau);
+                let expected = max.is_none_or(|m| m <= tau);
                 assert_eq!(
                     max_irreducible_at_most(g, tau),
                     expected,

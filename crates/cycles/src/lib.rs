@@ -46,7 +46,6 @@
 
 mod cycle;
 
-pub mod blocked;
 pub mod brute;
 pub mod gf2;
 pub mod horton;

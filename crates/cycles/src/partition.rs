@@ -168,7 +168,8 @@ mod tests {
     use super::*;
     use confine_graph::{generators, NodeId};
 
-    fn outer_grid_cycle(g: &Graph, w: usize, h: usize) -> Cycle {
+    /// The outer boundary walk of a `w × h` grid, in grid node ids.
+    fn outer_grid_walk(w: usize, h: usize) -> Vec<NodeId> {
         let mut seq = Vec::new();
         for x in 0..w {
             seq.push(NodeId::from(x));
@@ -182,7 +183,27 @@ mod tests {
         for y in (1..h - 1).rev() {
             seq.push(NodeId::from(y * w));
         }
-        Cycle::from_vertex_cycle(g, &seq).expect("grid boundary is a cycle")
+        seq
+    }
+
+    fn outer_grid_cycle(g: &Graph, w: usize, h: usize) -> Cycle {
+        Cycle::from_vertex_cycle(g, &outer_grid_walk(w, h)).expect("grid boundary is a cycle")
+    }
+
+    /// The `n × n` square lattice, whole or with its centre node removed
+    /// (the four unit squares around the centre merge into one 8-cycle
+    /// hole), and its outer boundary cycle.
+    fn lattice_and_boundary(n: usize, holed: bool) -> (Graph, BitVec) {
+        let g = generators::grid_graph(n, n);
+        let centre = NodeId::from(n / 2 * n + n / 2);
+        let keep: Vec<NodeId> = g.nodes().filter(|&v| !holed || v != centre).collect();
+        let sub = g.induced_subgraph(&keep).expect("lattice nodes exist");
+        let walk: Vec<NodeId> = outer_grid_walk(n, n)
+            .into_iter()
+            .map(|v| sub.from_parent(v).expect("the centre is off the boundary"))
+            .collect();
+        let outer = Cycle::from_vertex_cycle(&sub.graph, &walk).expect("grid boundary is a cycle");
+        (sub.graph, outer.edge_vec().clone())
     }
 
     #[test]
@@ -282,6 +303,30 @@ mod tests {
                         is_tau_partitionable(g, t, tau),
                         tester.is_partitionable(t, tau),
                         "graph {g:?} target {t:?} tau {tau}"
+                    );
+                }
+            }
+        }
+        // Square lattices reach every annihilator width: at τ = 3 and 4 the
+        // 8×8, 10×10, 14×14 and 18×18 lattices seed 1-, 2-, 4- and 5-word
+        // annihilators. The outer boundary is 4-partitionable; around the
+        // centre's 8-cycle hole it needs τ = 8, so τ = 4…7 test it against
+        // the one functional the tiers leave alive. The tester confirms that
+        // smallest τ on the two smaller lattices; on the larger ones its
+        // basis build would dominate this suite's Miri run.
+        for n in [8, 10, 14, 18] {
+            for holed in [false, true] {
+                let (g, outer) = lattice_and_boundary(n, holed);
+                let min_tau = if holed { 8 } else { 4 };
+                if n <= 10 {
+                    let tester = PartitionTester::new(&g);
+                    assert_eq!(tester.min_partition_tau(&outer), Some(min_tau));
+                }
+                for tau in 0..=10 {
+                    assert_eq!(
+                        is_tau_partitionable(&g, &outer, tau),
+                        tau >= min_tau,
+                        "{n}×{n} lattice (holed: {holed}) tau {tau}"
                     );
                 }
             }

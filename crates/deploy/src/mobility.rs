@@ -23,6 +23,10 @@ use crate::geometry::{Point, Rect};
 use crate::radio::CommModel;
 
 /// How mobile nodes move between rounds.
+///
+/// Every distance (`speed`, `step`, `bound`) must be finite and ≥ 0; `0`
+/// keeps the node still or at home. A negative `bound` would mirror a
+/// drifting node through its home every round instead of tethering it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MobilityModel {
     /// Classic random waypoint: pick a uniform target in the region, move
